@@ -1,6 +1,7 @@
 package broadcast
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -59,11 +60,24 @@ func TestBuildCycleLayout(t *testing.T) {
 			if cy.Start != 1000 || cy.End() != 1000+int64(cy.TotalBytes()) {
 				t.Error("start/end inconsistent")
 			}
-			if cy.IndexStart() != 1000+int64(cy.HeadBytes) {
-				t.Error("IndexStart wrong")
+			// The layout airs head, index and second tier (two-tier), then
+			// every document, back to back from the cycle start.
+			want := []Segment{{HeadSegment, 1000, int64(cy.HeadBytes)}, {IndexSegment, 1000 + int64(cy.HeadBytes), int64(cy.IndexBytes)}}
+			if mode == TwoTierMode {
+				want = append(want, Segment{SecondTierSegment, want[1].End(), int64(cy.SecondTierBytes)})
 			}
-			if cy.DocStart() != cy.SecondTierStart()+int64(cy.SecondTierBytes) {
-				t.Error("DocStart wrong")
+			if !reflect.DeepEqual(cy.Air.Segments, want) {
+				t.Errorf("segments %+v, want %+v", cy.Air.Segments, want)
+			}
+			at := want[len(want)-1].End()
+			for i, a := range cy.Air.Docs {
+				if a.DocPlacement != cy.Docs[i] || a.Start != at || a.End != at+int64(a.Size) {
+					t.Errorf("airing %d = %+v, want doc %d over [%d, %d)", i, a, cy.Docs[i].ID, at, at+int64(a.Size))
+				}
+				at = a.End
+			}
+			if at != cy.End() {
+				t.Errorf("documents end at %d, cycle at %d", at, cy.End())
 			}
 			if mode == OneTierMode && cy.SecondTierBytes != 0 {
 				t.Error("one-tier cycle has a second tier")

@@ -1,6 +1,7 @@
 package broadcast
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -118,39 +119,57 @@ func TestMultichannelLayout(t *testing.T) {
 		}
 	}
 	lead := cy.HeadBytes + cy.DirBytes
-	if want := int64(k) * int64(lead+maxTail); cy.Duration() != want {
-		t.Errorf("Duration = %d, want %d", cy.Duration(), want)
+	if want := int64(k) * int64(lead+maxTail); cy.Air.Duration != want {
+		t.Errorf("Duration = %d, want %d", cy.Air.Duration, want)
 	}
-	if cy.End() != cy.Start+cy.Duration() {
-		t.Errorf("End = %d, want Start+Duration = %d", cy.End(), cy.Start+cy.Duration())
+	if cy.End() != cy.Start+cy.Air.Duration {
+		t.Errorf("End = %d, want Start+Duration = %d", cy.End(), cy.Start+cy.Air.Duration)
+	}
+	// The index channel airs head, directory and first tier at 1/K pace.
+	want := []Segment{
+		{HeadSegment, cy.Start, int64(k * cy.HeadBytes)},
+		{DirSegment, cy.Start + int64(k*cy.HeadBytes), int64(k * cy.DirBytes)},
+		{IndexSegment, cy.Start + int64(k*lead), int64(k * cy.IndexBytes)},
+	}
+	if !reflect.DeepEqual(cy.Air.Segments, want) {
+		t.Errorf("segments %+v, want %+v", cy.Air.Segments, want)
 	}
 }
 
 func TestMultichannelAirIntervals(t *testing.T) {
 	const k = 4
 	_, cy := buildMultichannel(t, k)
-	dirEnd := cy.DirEnd()
-	for _, p := range cy.Docs {
-		start, end := cy.DocAirInterval(p)
-		if start < dirEnd {
-			t.Errorf("doc %d airs at %d, before the directory guard ends at %d", p.ID, start, dirEnd)
+	dirEnd := cy.Air.Segment(DirSegment).End()
+	first := make(map[xmldoc.DocID]bool)
+	for i, a := range cy.Air.Docs {
+		if a.Start < dirEnd {
+			t.Errorf("doc %d airs at %d, before the directory guard ends at %d", a.ID, a.Start, dirEnd)
 		}
-		if end-start != int64(k)*int64(p.Size) {
-			t.Errorf("doc %d air interval spans %d, want K*size = %d", p.ID, end-start, int64(k)*int64(p.Size))
+		if a.End-a.Start != int64(k)*int64(a.Size) {
+			t.Errorf("doc %d air interval spans %d, want K*size = %d", a.ID, a.End-a.Start, int64(k)*int64(a.Size))
 		}
-		if end > cy.End() {
-			t.Errorf("doc %d airs past cycle end (%d > %d)", p.ID, end, cy.End())
+		if a.End > cy.End() {
+			t.Errorf("doc %d airs past cycle end (%d > %d)", a.ID, a.End, cy.End())
+		}
+		if i > 0 && a.End < cy.Air.Docs[i-1].End {
+			t.Errorf("airing %d ends before airing %d", i, i-1)
+		}
+		// A document's first data-channel airing follows the guard prefix
+		// at its directory offset.
+		if p, _ := cy.Placement(a.ID); a.Channel != 0 && !first[a.ID] {
+			first[a.ID] = true
+			if want := cy.Start + int64(k)*int64(cy.HeadBytes+cy.DirBytes+cy.ChannelStreamOffset(p)); a.Start != want {
+				t.Errorf("doc %d first airs at %d, want %d", a.ID, a.Start, want)
+			}
 		}
 	}
-	// Intervals on the same channel must not overlap.
-	for _, a := range cy.Docs {
-		for _, b := range cy.Docs {
-			if a.ID >= b.ID || a.Channel != b.Channel {
-				continue
-			}
-			as, ae := cy.DocAirInterval(a)
-			bs, be := cy.DocAirInterval(b)
-			if as < be && bs < ae {
+	if len(first) != len(cy.Docs) {
+		t.Errorf("%d of %d docs air on a data channel", len(first), len(cy.Docs))
+	}
+	// Airings on the same channel must not overlap.
+	for i, a := range cy.Air.Docs {
+		for _, b := range cy.Air.Docs[i+1:] {
+			if a.Channel == b.Channel && a.Start < b.End && b.Start < a.End {
 				t.Errorf("docs %d and %d overlap on channel %d", a.ID, b.ID, a.Channel)
 			}
 		}
@@ -195,8 +214,8 @@ func TestRepetitionsSingleChannel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cy.IndexRepetitions(); got != 1 {
-		t.Errorf("single-channel IndexRepetitions = %d, want 1", got)
+	if got := cy.Air.Repetitions; got != 1 {
+		t.Errorf("single-channel Repetitions = %d, want 1", got)
 	}
 	if _, ok := cy.SyncAfter(cy.Start + 1); ok {
 		t.Error("single-channel SyncAfter reported a mid-cycle sync point")
@@ -217,22 +236,35 @@ func TestChannelRepetitions(t *testing.T) {
 		}
 	}
 	unit := lead + cy.IndexBytes + cy.HotBytes
-	if want := (lead + maxTail) / unit; cy.IndexRepetitions() != max(want, 1) {
-		t.Errorf("IndexRepetitions = %d, want span/unit = %d", cy.IndexRepetitions(), want)
+	if want := (lead + maxTail) / unit; cy.Air.Repetitions != max(want, 1) {
+		t.Errorf("Repetitions = %d, want span/unit = %d", cy.Air.Repetitions, want)
 	}
-	if cy.ChannelRepetitions(0) != cy.IndexRepetitions() {
-		t.Errorf("ChannelRepetitions(0) = %d, want IndexRepetitions %d", cy.ChannelRepetitions(0), cy.IndexRepetitions())
+	if cy.Air.Period != int64(k*unit) {
+		t.Errorf("Period = %d, want K*unit = %d", cy.Air.Period, k*unit)
+	}
+	// Each document airs once per replay of its data channel's unit, and a
+	// hot copy once per index repetition.
+	airings := make(map[DocPlacement]int)
+	for _, a := range cy.Air.Docs {
+		airings[a.DocPlacement]++
+	}
+	for _, p := range cy.HotDocs {
+		if got := airings[p]; got != cy.Air.Repetitions {
+			t.Errorf("hot doc %d airs %d times on the index channel, want %d", p.ID, got, cy.Air.Repetitions)
+		}
 	}
 	for ch := 1; ch < k; ch++ {
 		want := maxTail / cy.Channels[ch].Bytes
 		if want < 1 {
 			want = 1
 		}
-		if got := cy.ChannelRepetitions(ch); got != want {
-			t.Errorf("ChannelRepetitions(%d) = %d, want %d", ch, got, want)
+		for _, p := range cy.Channels[ch].Docs {
+			if got := airings[p]; got != want {
+				t.Errorf("channel %d doc %d airs %d times, want %d", ch, p.ID, got, want)
+			}
 		}
 		// Every replay of the channel's unit must fit inside the cycle.
-		if int64(k)*int64(lead+want*cy.Channels[ch].Bytes) > cy.Duration() {
+		if int64(k)*int64(lead+want*cy.Channels[ch].Bytes) > cy.Air.Duration {
 			t.Errorf("channel %d: %d replays overflow the cycle", ch, want)
 		}
 	}
@@ -252,8 +284,8 @@ func TestHotDocsSelection(t *testing.T) {
 	if budget := (lead+maxTail)/hotRepTarget - lead - cy.IndexBytes; budget > 0 && cy.HotBytes > budget {
 		t.Errorf("HotBytes = %d exceeds the repetition budget %d", cy.HotBytes, budget)
 	}
-	if len(cy.HotDocs) > 0 && cy.IndexRepetitions() < hotRepTarget {
-		t.Errorf("hot docs selected but only %d repetitions survive (target %d)", cy.IndexRepetitions(), hotRepTarget)
+	if len(cy.HotDocs) > 0 && cy.Air.Repetitions < hotRepTarget {
+		t.Errorf("hot docs selected but only %d repetitions survive (target %d)", cy.Air.Repetitions, hotRepTarget)
 	}
 	// Hot docs are the plan's prefix, contiguous on channel 0.
 	off := 0
@@ -283,7 +315,7 @@ func TestHotDocsSelection(t *testing.T) {
 func TestSyncAfterBoundaries(t *testing.T) {
 	const k = 4
 	_, cy := buildMultichannel(t, k)
-	reps := cy.IndexRepetitions()
+	reps := cy.Air.Repetitions
 	if reps < 2 {
 		t.Fatalf("fixture airs only %d repetitions; boundaries need at least 2", reps)
 	}
@@ -323,7 +355,7 @@ func TestCommitmentsHotAirings(t *testing.T) {
 	if len(cy.HotDocs) == 0 {
 		t.Skip("fixture selects no hot docs")
 	}
-	reps := cy.IndexRepetitions()
+	reps := cy.Air.Repetitions
 	if reps < 2 {
 		t.Skip("fixture airs a single repetition")
 	}
@@ -388,7 +420,7 @@ func TestReceivableMultichannel(t *testing.T) {
 	// airing, a channel replay, or a hot-section repetition — so the
 	// overlap check runs on their own intervals, not the first airing.
 	for _, cm := range got {
-		if cm.Start < cy.DirEnd() {
+		if cm.Start < cy.Air.Segment(DirSegment).End() {
 			t.Errorf("committed doc %d airs before the client holds the directory", cm.ID)
 		}
 		if cm.End > cy.End() {

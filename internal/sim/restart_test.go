@@ -198,7 +198,7 @@ func TestRestartEavesdropAfterRecovery(t *testing.T) {
 	// index repetition to sync on.
 	sync, ok := first.SyncAfter(first.Start + 1)
 	if !ok {
-		t.Fatalf("no index repetition to sync on (repetitions=%d)", first.IndexRepetitions())
+		t.Fatalf("no index repetition to sync on (repetitions=%d)", first.Air.Repetitions)
 	}
 	if sync <= first.Start || sync >= first.End() {
 		t.Fatalf("sync point %d outside cycle (%d, %d)", sync, first.Start, first.End())
