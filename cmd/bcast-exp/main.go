@@ -162,8 +162,8 @@ func run(args []string) error {
 		if err := os.WriteFile(*benchPath, append(data, '\n'), 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s (GOMAXPROCS=%d, filter speedup %.2fx, merge speedup %.2fx, prune speedup %.2fx, schedule speedup %.2fx, %d cycles)\n",
-			*benchPath, res.GOMAXPROCS, res.FilterSpeedup, res.MergeSpeedup, res.PruneSpeedup, res.ScheduleSpeedup, res.Cycles)
+		fmt.Printf("wrote %s (GOMAXPROCS=%d, filter speedup %.2fx, prune speedup %.2fx, schedule speedup %.2fx, %d cycles)\n",
+			*benchPath, res.GOMAXPROCS, res.FilterSpeedup, res.PruneSpeedup, res.ScheduleSpeedup, res.Cycles)
 		if mb := res.Multichannel; mb != nil {
 			fmt.Printf("multichannel K=%d: mean access %.0f B vs K=1 %.0f B (%.1f%% reduction, %d/%d clients eavesdropped)\n",
 				mb.Channels, mb.MeanAccessBytesK, mb.MeanAccessBytesK1, mb.AccessReductionPct, mb.EavesdropClients, mb.Clients)

@@ -13,9 +13,7 @@
 package dataguide
 
 import (
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/xmldoc"
 )
@@ -161,52 +159,9 @@ func (g *Guide) SubtreeDocs() []xmldoc.DocID {
 // Merge returns an error-free result by construction; malformed collections
 // are impossible to represent in xmldoc.
 func Merge(c *xmldoc.Collection) *Forest {
-	return merge(buildGuides(c, 1))
-}
-
-// MergeParallel is Merge with the per-document guide construction — the
-// dominant cost, independent per document — sharded across workers
-// goroutines (runtime.GOMAXPROCS(0) when workers <= 0). The guides are then
-// merged serially in collection order, so the result is identical to
-// Merge's.
-func MergeParallel(c *xmldoc.Collection, workers int) *Forest {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return merge(buildGuides(c, workers))
-}
-
-// buildGuides constructs each document's guide, in collection order.
-func buildGuides(c *xmldoc.Collection, workers int) []*Guide {
-	docs := c.Docs()
-	guides := make([]*Guide, len(docs))
-	if workers > len(docs) {
-		workers = len(docs)
-	}
-	if workers <= 1 {
-		for i, d := range docs {
-			guides[i] = Build(d)
-		}
-		return guides
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < len(docs); i += workers {
-				guides[i] = Build(docs[i])
-			}
-		}(w)
-	}
-	wg.Wait()
-	return guides
-}
-
-// merge folds per-document guides into one forest, in slice order.
-func merge(guides []*Guide) *Forest {
 	f := &Forest{}
-	for _, g := range guides {
+	for _, d := range c.Docs() {
+		g := Build(d)
 		if g == nil {
 			continue
 		}

@@ -9,8 +9,6 @@
 //   - query answering is memoized per canonical query string and, on misses,
 //     batch-evaluated by one shared automaton with document matching sharded
 //     across GOMAXPROCS workers (yfilter.FilterParallel);
-//   - the builder's merged DataGuide is constructed with per-document guides
-//     built in parallel (dataguide.MergeParallel via broadcast.NewBuilder);
 //   - wire encoding reuses pooled buffers and a per-document payload cache,
 //     so steady-state cycles allocate O(1) buffers instead of O(docs).
 //

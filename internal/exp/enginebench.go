@@ -41,10 +41,8 @@ type EngineBenchResult struct {
 	FilterParallelNS int64   `json:"filter_parallel_ns"`
 	FilterSpeedup    float64 `json:"filter_speedup"`
 
-	// MergeSerialNS / MergeParallelNS time the merged-DataGuide build.
-	MergeSerialNS   int64   `json:"merge_serial_ns"`
-	MergeParallelNS int64   `json:"merge_parallel_ns"`
-	MergeSpeedup    float64 `json:"merge_speedup"`
+	// MergeSerialNS times the merged-DataGuide build.
+	MergeSerialNS int64 `json:"merge_serial_ns"`
 
 	// PruneFullNS / PruneIncrementalNS time one PCI re-prune under ≈5%
 	// query churn: from scratch versus a warm PrunedView applying the delta.
@@ -175,8 +173,6 @@ func RunEngineBench(cfg Config) (*EngineBenchResult, error) {
 	res.FilterSpeedup = speedup(res.FilterSerialNS, res.FilterParallelNS)
 
 	res.MergeSerialNS = bestOf(engineBenchRounds, func() { dataguide.Merge(coll) })
-	res.MergeParallelNS = bestOf(engineBenchRounds, func() { dataguide.MergeParallel(coll, res.Workers) })
-	res.MergeSpeedup = speedup(res.MergeSerialNS, res.MergeParallelNS)
 
 	// Re-pruning under drift: a query pool slightly larger than the active
 	// set provides a sliding window where consecutive cycles swap k queries

@@ -17,13 +17,11 @@ import (
 )
 
 // captureMagic heads a capture file. Version 2 captures hold checksummed v2
-// frames; version 1 captures (legacy magic, plain 5-byte frame headers)
-// still parse. Version 3 captures hold transport envelopes copied verbatim
-// off a compressed downlink — byte-faithful, so a capture replays exactly
-// what was on the air.
+// frames. Version 3 captures hold transport envelopes copied verbatim off a
+// compressed downlink — byte-faithful, so a capture replays exactly what
+// was on the air.
 const (
 	captureMagic   = "XBCAST2\n"
-	captureMagicV1 = "XBCAST1\n"
 	captureMagicV3 = "XBCAST3\n"
 )
 
@@ -221,8 +219,8 @@ func (r *CycleRecord) SecondTier(m core.SizeModel) ([]wire.SecondTierEntry, erro
 
 // ReadCapture parses a capture file into complete cycle records. A trailing
 // partial cycle (recording cut mid-cycle) is dropped; a corrupt frame in
-// the middle of a capture is an error, never a panic. Both v2 (checksummed)
-// and legacy v1 captures are accepted.
+// the middle of a capture is an error, never a panic. Both v2 (checksummed
+// frames) and v3 (transport envelopes) captures are accepted.
 func ReadCapture(r io.Reader) ([]CycleRecord, error) {
 	magic := make([]byte, len(captureMagic))
 	if _, err := io.ReadFull(r, magic); err != nil {
@@ -231,8 +229,6 @@ func ReadCapture(r io.Reader) ([]CycleRecord, error) {
 	read := readFrame
 	switch string(magic) {
 	case captureMagic:
-	case captureMagicV1:
-		read = readFrameV1
 	case captureMagicV3:
 		// Transport envelopes: unwrap each to its inner v2 frame.
 		tr := transport.NewReader(r)

@@ -133,35 +133,3 @@ func TestReadCaptureErrors(t *testing.T) {
 		t.Error("corrupt capture frame accepted")
 	}
 }
-
-// TestReadCaptureV1Compat: legacy captures (XBCAST1 magic, plain 5-byte
-// frame headers, no checksums) still parse after the v2 bump.
-func TestReadCaptureV1Compat(t *testing.T) {
-	h := &cycleHead{Number: 9, TwoTier: false, NumDocs: 1, Catalog: []byte{0, 0}}
-	headBytes, err := h.encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeV1 := func(buf *bytes.Buffer, ft FrameType, payload []byte) {
-		var hdr [5]byte
-		hdr[0] = byte(ft)
-		hdr[1] = byte(len(payload))
-		buf.Write(hdr[:])
-		buf.Write(payload)
-	}
-	var buf bytes.Buffer
-	buf.WriteString(captureMagicV1)
-	writeV1(&buf, FrameCycleHead, headBytes)
-	writeV1(&buf, FrameIndex, []byte{1, 2, 3})
-	writeV1(&buf, FrameDoc, []byte{7, 0, '<', 'a', '/', '>'})
-	recs, err := ReadCapture(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatalf("v1 capture: %v", err)
-	}
-	if len(recs) != 1 || recs[0].Number != 9 || len(recs[0].Docs) != 1 {
-		t.Fatalf("v1 capture parsed as %+v", recs)
-	}
-	if recs[0].DocID(0) != 7 {
-		t.Errorf("v1 doc id = %d, want 7", recs[0].DocID(0))
-	}
-}

@@ -146,10 +146,8 @@ type Client struct {
 	coveredFrom uint32
 
 	// session tracks acked submissions (durable request IDs) for the
-	// session-resume handshake; resumeCapable is set once an ack carries a
-	// request ID, gating resume frames to servers that understand them.
-	session       *ClientSession
-	resumeCapable bool
+	// session-resume handshake.
+	session *ClientSession
 
 	// resubq queues queries whose re-registration failed while the uplink
 	// was down, bounded at resubmitQueueCap with drop-oldest. The counters
@@ -281,57 +279,47 @@ func (c *Client) Submit(q xpath.Path) error {
 	if err != nil {
 		return fmt.Errorf("netcast: submit ack: %w", err)
 	}
-	covered, id, hasID, err := parseSubmitAck(t, payload)
+	covered, id, err := parseSubmitAck(t, payload)
 	if err != nil {
 		return err
 	}
-	if hasID {
-		c.recordSession(id, q.String())
-		c.resumeCapable = true
-	}
+	c.recordSession(id, q.String())
 	c.coveredFrom = covered
 	return nil
 }
 
 // parseSubmitAck interprets one uplink response to a query submission —
-// shared by Client.Submit and the multiplexed LogicalClient. hasID reports
-// the durable-request-ID ack form ("ok:<covered>:<id>") from a
-// journal-aware server.
-func parseSubmitAck(t FrameType, payload []byte) (covered uint32, id int64, hasID bool, err error) {
+// shared by Client.Submit and the multiplexed LogicalClient. An accepted
+// query is acked "ok:<covered>:<id>": the first cycle whose index covers it
+// and the request ID the client presents on session resume.
+func parseSubmitAck(t FrameType, payload []byte) (covered uint32, id int64, err error) {
 	if t == FrameReject {
 		retryAfter, reason, derr := decodeReject(payload)
 		if derr != nil {
-			return 0, 0, false, fmt.Errorf("netcast: submit ack: %w", derr)
+			return 0, 0, fmt.Errorf("netcast: submit ack: %w", derr)
 		}
-		return 0, 0, false, &RejectedError{RetryAfter: retryAfter, Reason: reason}
+		return 0, 0, &RejectedError{RetryAfter: retryAfter, Reason: reason}
 	}
 	if t != FrameAck {
-		return 0, 0, false, fmt.Errorf("netcast: unexpected ack frame type %d", t)
+		return 0, 0, fmt.Errorf("netcast: unexpected ack frame type %d", t)
 	}
 	msg := string(payload)
 	if strings.HasPrefix(msg, "err:") {
-		return 0, 0, false, fmt.Errorf("netcast: server rejected query: %s", strings.TrimSpace(msg[4:]))
+		return 0, 0, fmt.Errorf("netcast: server rejected query: %s", strings.TrimSpace(msg[4:]))
 	}
-	if rest, ok := strings.CutPrefix(msg, "ok:"); ok {
-		// Two ack forms: "ok:<covered>" (legacy) and "ok:<covered>:<id>"
-		// from a durability-aware server, where <id> is the journaled
-		// request ID the client presents on session resume.
-		cov := rest
-		if i := strings.IndexByte(rest, ':'); i >= 0 {
-			cov = rest[:i]
-			id, err = strconv.ParseInt(rest[i+1:], 10, 64)
-			if err != nil {
-				return 0, 0, false, fmt.Errorf("netcast: malformed ack %q", msg)
-			}
-			hasID = true
-		}
-		n, err := strconv.ParseUint(cov, 10, 32)
-		if err != nil {
-			return 0, 0, false, fmt.Errorf("netcast: malformed ack %q", msg)
-		}
-		return uint32(n), id, hasID, nil
+	rest, accepted := strings.CutPrefix(msg, "ok:")
+	cov, idStr, hasID := strings.Cut(rest, ":")
+	if !accepted || !hasID {
+		return 0, 0, fmt.Errorf("netcast: malformed ack %q", msg)
 	}
-	return 0, 0, false, fmt.Errorf("netcast: malformed ack %q", msg)
+	n, err := strconv.ParseUint(cov, 10, 32)
+	if err != nil {
+		return 0, 0, fmt.Errorf("netcast: malformed ack %q", msg)
+	}
+	if id, err = strconv.ParseInt(idStr, 10, 64); err != nil {
+		return 0, 0, fmt.Errorf("netcast: malformed ack %q", msg)
+	}
+	return uint32(n), id, nil
 }
 
 // recordSession remembers an acked submission for session resumption. A
@@ -367,7 +355,6 @@ func (c *Client) Session() *ClientSession { return c.session.clone() }
 // resume-capable with that session's request IDs.
 func (c *Client) AdoptSession(s *ClientSession) {
 	c.session = s.clone()
-	c.resumeCapable = c.session != nil && len(c.session.Entries) > 0
 }
 
 // Resume runs the session-resume handshake: it presents every acked request

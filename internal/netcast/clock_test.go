@@ -94,7 +94,7 @@ func TestSubmitRetryBackoffOnInjectedClock(t *testing.T) {
 			if i < rejects {
 				_ = writeFrame(conn, FrameReject, encodeReject(100*time.Millisecond, "busy"))
 			} else {
-				_ = writeFrame(conn, FrameAck, []byte("ok:1"))
+				_ = writeFrame(conn, FrameAck, []byte("ok:1:1"))
 				return
 			}
 		}

@@ -177,25 +177,6 @@ func readFrame(r io.Reader) (FrameType, []byte, error) {
 	return FrameType(hdr[2]), payload, nil
 }
 
-// readFrameV1 reads one legacy (protocol version 1) frame: 1 type byte,
-// 4 length bytes, payload — no sync bytes, no checksum. Kept so old capture
-// files still parse.
-func readFrameV1(r io.Reader) (FrameType, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[1:])
-	if n > maxFrame {
-		return 0, nil, fmt.Errorf("netcast: frame of %d bytes exceeds limit", n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
-	}
-	return FrameType(hdr[0]), payload, nil
-}
-
 // resyncFrame scans a desynchronised byte stream for the next well-formed
 // frame of type want, returning its payload and the number of bytes
 // consumed before the accepted frame (scanned garbage plus any candidate

@@ -60,7 +60,6 @@ func FuzzReadCapture(f *testing.F) {
 	_ = writeFrame(&v2, FrameDoc, []byte{7, 0, 'x'})
 	f.Add(v2.Bytes())
 	f.Add(v2.Bytes()[:v2.Len()-5]) // truncated mid-frame
-	f.Add([]byte(captureMagicV1))
 	f.Add([]byte(captureMagic))
 	f.Add([]byte("XBCAST9\njunk"))
 	f.Fuzz(func(t *testing.T, data []byte) {

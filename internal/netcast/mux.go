@@ -347,7 +347,7 @@ func (lc *LogicalClient) Submit(q xpath.Path) error {
 	select {
 	case r := <-lc.resp:
 		lc.tokens <- struct{}{}
-		covered, _, _, err := parseSubmitAck(r.t, r.payload)
+		covered, _, err := parseSubmitAck(r.t, r.payload)
 		if err != nil {
 			return err
 		}

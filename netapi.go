@@ -109,8 +109,8 @@ func RecordBroadcast(ctx context.Context, broadcastAddr string, numCycles int, w
 
 // ReadBroadcastCapture parses a capture file into cycle records whose index
 // and offset segments can be decoded and inspected. Current (XBCAST2,
-// checksummed frames), compressed-transport (XBCAST3, verbatim transport
-// envelopes) and legacy (XBCAST1) captures are all accepted.
+// checksummed frames) and compressed-transport (XBCAST3, verbatim transport
+// envelopes) captures are accepted.
 func ReadBroadcastCapture(r io.Reader) ([]CycleRecord, error) {
 	return netcast.ReadCapture(r)
 }
